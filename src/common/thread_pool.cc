@@ -4,6 +4,25 @@
 
 namespace crossmine {
 
+namespace {
+
+thread_local bool inside_task = false;
+
+/// Marks the current thread as running pool tasks for one scope and
+/// restores the previous state after it, so nested pools compose.
+class InsideTaskScope {
+ public:
+  InsideTaskScope() : previous_(inside_task) { inside_task = true; }
+  ~InsideTaskScope() { inside_task = previous_; }
+  InsideTaskScope(const InsideTaskScope&) = delete;
+  InsideTaskScope& operator=(const InsideTaskScope&) = delete;
+
+ private:
+  const bool previous_;
+};
+
+}  // namespace
+
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
@@ -37,6 +56,8 @@ int ThreadPool::Resolve(int requested) {
   return requested <= 0 ? HardwareConcurrency() : requested;
 }
 
+bool ThreadPool::InsideTask() { return inside_task; }
+
 void ThreadPool::DrainBatch(int worker,
                             const std::vector<std::function<void(int)>>* batch,
                             size_t size) {
@@ -58,6 +79,7 @@ bool ThreadPool::RunTasks(const std::vector<std::function<void(int)>>& tasks) {
     }
     // Sequential pool: no handoff, no synchronization — the caller just
     // runs every task in order as worker 0.
+    InsideTaskScope scope;
     for (const auto& task : tasks) task(0);
     return true;
   }
@@ -71,7 +93,10 @@ bool ThreadPool::RunTasks(const std::vector<std::function<void(int)>>& tasks) {
     ++generation_;
   }
   cv_start_.notify_all();
-  DrainBatch(0, &tasks, tasks.size());
+  {
+    InsideTaskScope scope;
+    DrainBatch(0, &tasks, tasks.size());
+  }
   std::unique_lock<std::mutex> lock(mu_);
   // Wait for the tasks to finish and for every woken worker to stop
   // touching `tasks` before letting the caller destroy it.
@@ -81,6 +106,7 @@ bool ThreadPool::RunTasks(const std::vector<std::function<void(int)>>& tasks) {
 }
 
 void ThreadPool::WorkerLoop(int worker) {
+  inside_task = true;  // a worker lane runs nothing but pool tasks
   uint64_t seen = 0;
   for (;;) {
     const std::vector<std::function<void(int)>>* batch = nullptr;

@@ -63,6 +63,12 @@ class ThreadPool {
   /// `requested <= 0` means "use hardware concurrency".
   static int Resolve(int requested);
 
+  /// True on a pool's worker threads and on a caller while it runs its own
+  /// batch inside `RunTasks` (of any pool, the 1-lane pool included).
+  /// Callers use it to stay sequential instead of nesting a second level
+  /// of lanes under one that already fills the cores.
+  static bool InsideTask();
+
  private:
   void WorkerLoop(int worker);
   void DrainBatch(int worker, const std::vector<std::function<void(int)>>* batch,

@@ -102,14 +102,17 @@ Status CrossMineClassifier::Train(const Database& db,
 
   // §5.3: estimate each clause's accuracy by predicting on the training
   // set — the clause's support over *all* training tuples, not just the
-  // population it was built from.
+  // population it was built from. The clauses are independent, so they
+  // share the training pool's lanes.
   if (options_.reestimate_accuracy_on_training_set) {
     ScopedMetricTimer reestimate(metrics_, "train.phase.reestimation_seconds");
-    for (Clause& clause : clauses_) {
-      std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, in_train);
+    std::vector<std::vector<uint8_t>> masks =
+        EvaluateClauses(db, clauses_, in_train, pool.get());
+    for (size_t c = 0; c < clauses_.size(); ++c) {
+      Clause& clause = clauses_[c];
       uint32_t sup_pos = 0, sup_neg = 0;
       for (TupleId t = 0; t < num_targets; ++t) {
-        if (!mask[t]) continue;
+        if (!masks[c][t]) continue;
         if (db.labels()[t] == clause.predicted_class) {
           ++sup_pos;
         } else {
@@ -237,94 +240,37 @@ std::vector<ClassId> CrossMineClassifier::Predict(
     query[id] = 1;
   }
 
-  // Per-target satisfied-clause counts, tracked only when a metrics
-  // registry is attached (for the satisfied-clause histogram and the
-  // default-class fallback count). Never feeds back into `winner`.
-  std::vector<uint32_t> sat_count;
-  if (metrics_ != nullptr) sat_count.assign(num_targets, 0);
-  auto track = [&sat_count](const std::vector<uint8_t>& mask) {
-    if (sat_count.empty()) return;
-    for (TupleId t = 0; t < mask.size(); ++t) {
-      if (mask[t]) ++sat_count[t];
-    }
-  };
+  // Every clause is evaluated on the whole query: whether a target
+  // satisfies a clause does not depend on the other query ids, so the
+  // clauses can run on parallel lanes and every mode, the decision list
+  // included, decides per target afterwards.
+  int lanes = ClauseEvalLanes(options_.num_threads, clauses_.size(),
+                              ids.size(), num_targets);
+  std::unique_ptr<ThreadPool> pool;
+  if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes);
+  std::vector<std::vector<uint8_t>> masks =
+      EvaluateClauses(db, clauses_, query, pool.get());
 
-  std::vector<ClassId> winner(num_targets, default_class_);
-  switch (options_.prediction_mode) {
-    case PredictionMode::kBestClause: {
-      // §5.3: the most accurate satisfied clause wins.
-      std::vector<double> best_accuracy(num_targets, -1.0);
-      for (const Clause& clause : clauses_) {
-        std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, query);
-        track(mask);
-        for (TupleId t = 0; t < num_targets; ++t) {
-          if (mask[t] && clause.accuracy > best_accuracy[t]) {
-            best_accuracy[t] = clause.accuracy;
-            winner[t] = clause.predicted_class;
-          }
-        }
-      }
-      break;
+  std::vector<ClassId> out;
+  out.reserve(ids.size());
+  std::vector<int> satisfied;
+  std::vector<double> votes;
+  uint64_t fallbacks = 0;
+  std::array<uint64_t, 9> hist{};  // 0..7 satisfied clauses, then 8+
+  for (TupleId id : ids) {
+    satisfied.clear();
+    for (size_t c = 0; c < masks.size(); ++c) {
+      if (masks[c][id]) satisfied.push_back(static_cast<int>(c));
     }
-    case PredictionMode::kWeightedVote: {
-      // Satisfied clauses vote with their edge over chance.
-      double chance = 1.0 / std::max(1, num_classes_);
-      std::vector<double> votes(
-          static_cast<size_t>(num_targets) *
-              static_cast<size_t>(std::max(1, num_classes_)),
-          0.0);
-      std::vector<uint8_t> any(num_targets, 0);
-      for (const Clause& clause : clauses_) {
-        std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, query);
-        track(mask);
-        double weight = std::max(0.0, clause.accuracy - chance);
-        for (TupleId t = 0; t < num_targets; ++t) {
-          if (!mask[t]) continue;
-          any[t] = 1;
-          votes[static_cast<size_t>(t) *
-                    static_cast<size_t>(num_classes_) +
-                static_cast<size_t>(clause.predicted_class)] += weight;
-        }
-      }
-      for (TupleId t = 0; t < num_targets; ++t) {
-        if (!any[t]) continue;
-        const double* row = &votes[static_cast<size_t>(t) *
-                                   static_cast<size_t>(num_classes_)];
-        winner[t] = static_cast<ClassId>(
-            std::max_element(row, row + num_classes_) - row);
-      }
-      break;
-    }
-    case PredictionMode::kDecisionList: {
-      // First satisfied clause in learning order wins. (The tracked count
-      // is 0/1 here: later clauses only see still-undecided tuples.)
-      std::vector<uint8_t> undecided = query;
-      for (const Clause& clause : clauses_) {
-        std::vector<uint8_t> mask =
-            ClauseSatisfiedMask(db, clause, undecided);
-        track(mask);
-        for (TupleId t = 0; t < num_targets; ++t) {
-          if (mask[t]) {
-            winner[t] = clause.predicted_class;
-            undecided[t] = 0;
-          }
-        }
-      }
-      break;
-    }
+    out.push_back(Decide(satisfied, &votes).predicted);
+    if (satisfied.empty()) ++fallbacks;
+    ++hist[std::min<size_t>(satisfied.size(), 8)];
   }
 
   if (metrics_ != nullptr) {
     metrics_->counter("predict.tuples")->Add(ids.size());
     metrics_->counter("predict.clauses_evaluated")
         ->Add(clauses_.size() * ids.size());
-    uint64_t fallbacks = 0;
-    std::array<uint64_t, 9> hist{};  // 0..7 satisfied clauses, then 8+
-    for (TupleId id : ids) {
-      uint32_t satisfied = sat_count[id];
-      if (satisfied == 0) ++fallbacks;
-      ++hist[std::min<uint32_t>(satisfied, 8)];
-    }
     metrics_->counter("predict.default_fallbacks")->Add(fallbacks);
     for (size_t b = 0; b < hist.size(); ++b) {
       if (hist[b] == 0) continue;
@@ -334,11 +280,60 @@ std::vector<ClassId> CrossMineClassifier::Predict(
           ->Add(hist[b]);
     }
   }
-
-  std::vector<ClassId> out;
-  out.reserve(ids.size());
-  for (TupleId id : ids) out.push_back(winner[id]);
   return out;
+}
+
+CrossMineClassifier::Verdict CrossMineClassifier::Decide(
+    const std::vector<int>& satisfied, std::vector<double>* votes) const {
+  Verdict verdict{default_class_, -1};
+  if (satisfied.empty()) return verdict;
+  // The most accurate satisfied clause `eligible` accepts (the first on
+  // ties), or -1.
+  auto most_accurate = [&](auto&& eligible) {
+    int index = -1;
+    double best = -1.0;
+    for (int i : satisfied) {
+      const Clause& clause = clauses_[static_cast<size_t>(i)];
+      if (eligible(clause) && clause.accuracy > best) {
+        best = clause.accuracy;
+        index = i;
+      }
+    }
+    return index;
+  };
+  switch (options_.prediction_mode) {
+    case PredictionMode::kBestClause:
+      // §5.3: the most accurate satisfied clause wins.
+      verdict.clause_index = most_accurate([](const Clause&) { return true; });
+      break;
+    case PredictionMode::kWeightedVote: {
+      // Satisfied clauses vote with their edge over chance; the deciding
+      // clause is the winning class's most accurate satisfied clause.
+      double chance = 1.0 / std::max(1, num_classes_);
+      votes->assign(static_cast<size_t>(std::max(1, num_classes_)), 0.0);
+      for (int i : satisfied) {
+        const Clause& clause = clauses_[static_cast<size_t>(i)];
+        (*votes)[static_cast<size_t>(clause.predicted_class)] +=
+            std::max(0.0, clause.accuracy - chance);
+      }
+      ClassId winner = static_cast<ClassId>(
+          std::max_element(votes->begin(), votes->end()) - votes->begin());
+      verdict.predicted = winner;
+      verdict.clause_index = most_accurate([winner](const Clause& clause) {
+        return clause.predicted_class == winner;
+      });
+      return verdict;
+    }
+    case PredictionMode::kDecisionList:
+      // First satisfied clause in learning order wins.
+      verdict.clause_index = satisfied.front();
+      break;
+  }
+  if (verdict.clause_index >= 0) {
+    verdict.predicted =
+        clauses_[static_cast<size_t>(verdict.clause_index)].predicted_class;
+  }
+  return verdict;
 }
 
 ClassId CrossMineClassifier::PredictOne(const Database& db, TupleId id) const {
@@ -352,29 +347,17 @@ CrossMineClassifier::Explanation CrossMineClassifier::Explain(
   std::vector<uint8_t> query(num_targets, 0);
   query[id] = 1;
 
+  // One pass: the satisfied clauses feed the same `Decide` as bulk Predict.
   Explanation out;
-  out.predicted = PredictOne(db, id);
   for (size_t i = 0; i < clauses_.size(); ++i) {
     if (ClauseSatisfiedMask(db, clauses_[i], query)[id]) {
       out.satisfied.push_back(static_cast<int>(i));
     }
   }
-  // Deciding clause: among satisfied clauses of the winning class, the one
-  // the active mode would credit. For kDecisionList that is the first;
-  // otherwise the most accurate.
-  double best = -1.0;
-  for (int i : out.satisfied) {
-    const Clause& clause = clauses_[static_cast<size_t>(i)];
-    if (clause.predicted_class != out.predicted) continue;
-    if (options_.prediction_mode == PredictionMode::kDecisionList) {
-      out.clause_index = i;
-      break;
-    }
-    if (clause.accuracy > best) {
-      best = clause.accuracy;
-      out.clause_index = i;
-    }
-  }
+  std::vector<double> votes;
+  Verdict verdict = Decide(out.satisfied, &votes);
+  out.predicted = verdict.predicted;
+  out.clause_index = verdict.clause_index;
   return out;
 }
 

@@ -49,12 +49,18 @@ class CrossMineClassifier : public RelationalClassifier {
     options_.prediction_mode = mode;
   }
 
+  /// Sets the lane budget (`CrossMineOptions::num_threads`) of later
+  /// `Train` and bulk `Predict` calls. Answers are identical at any value.
+  void set_num_threads(int num_threads) { options_.num_threads = num_threads; }
+
   /// Learns clauses from the target tuples listed in `train_ids`. Labels of
   /// tuples outside `train_ids` are never read. Clears any previous model.
   Status Train(const Database& db,
                const std::vector<TupleId>& train_ids) override;
 
-  /// Predicts class labels for `ids` (order-preserving).
+  /// Predicts class labels for `ids` (order-preserving). A bulk query
+  /// evaluates the clauses on parallel lanes (`ClauseEvalLanes`); the
+  /// answers do not depend on the lane count.
   std::vector<ClassId> Predict(const Database& db,
                                const std::vector<TupleId>& ids) const override;
 
@@ -109,6 +115,18 @@ class CrossMineClassifier : public RelationalClassifier {
   /// The shard-merge pass (src/shard/sharded_trainer.cc) installs its
   /// deterministically merged clause set through the same hook.
   friend class shard::ShardedClassifier;
+
+  /// The active mode's verdict for one target: the predicted class and the
+  /// deciding clause (-1 for the default class).
+  struct Verdict {
+    ClassId predicted = 0;
+    int clause_index = -1;
+  };
+  /// The one decision rule behind `Predict` and `Explain`, applied to the
+  /// indices of the clauses a target satisfies, in model order. `votes` is
+  /// caller-owned scratch for kWeightedVote.
+  Verdict Decide(const std::vector<int>& satisfied,
+                 std::vector<double>* votes) const;
 
   void TrainOneClass(const Database& db, ClassId cls,
                      const std::vector<uint8_t>& positive,

@@ -146,7 +146,8 @@ uint64_t ClauseBuilder::CurrentIdBytes() {
 
 std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
     int32_t node, int32_t e, int32_t e2, const IdSetStore& src,
-    const JoinEdge& edge, PropagationScratch* scratch) {
+    const JoinEdge& edge, PropagationScratch* scratch,
+    CacheUpdate* update) {
   std::array<int32_t, 3> key{node, e, e2};
   std::shared_ptr<PropagationResult> cached;
   bool current = false;
@@ -179,11 +180,11 @@ std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
     Bump(arena_reuse_);  // the compaction reclaimed storage in place
     if (refreshed) return cached;
     Bump(prop_cache_evictions_);
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = prop_cache_.find(key);
-    if (it != prop_cache_.end()) {
-      cached_slot_count_ -= it->second.slots;
-      prop_cache_.erase(it);
+    if (update != nullptr) {
+      update->evict = true;
+    } else {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      EvictLocked(key);
     }
     return cached;  // ok == false, matching a fresh failed propagation
   }
@@ -198,14 +199,60 @@ std::shared_ptr<const PropagationResult> ClauseBuilder::GetPropagation(
   Bump(prop_cache_misses_);
   if (!fresh->ok) Bump(prop_rejected_);
   if (fresh->ok && opts_->propagation_cache_slots > 0) {
-    uint64_t slots = fresh->idsets.num_sets();
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cached_slot_count_ + slots <= opts_->propagation_cache_slots) {
-      cached_slot_count_ += slots;
-      prop_cache_[key] = {fresh, search_epoch_, slots};
+    if (update != nullptr) {
+      update->admit = fresh;
+    } else {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      AdmitLocked(key, fresh);
     }
   }
   return fresh;
+}
+
+void ClauseBuilder::EvictLocked(const std::array<int32_t, 3>& key) {
+  auto it = prop_cache_.find(key);
+  if (it != prop_cache_.end()) {
+    cached_slot_count_ -= it->second.slots;
+    prop_cache_.erase(it);
+  }
+}
+
+void ClauseBuilder::AdmitLocked(const std::array<int32_t, 3>& key,
+                                std::shared_ptr<PropagationResult> result) {
+  uint64_t slots = result->idsets.num_sets();
+  if (cached_slot_count_ + slots <= opts_->propagation_cache_slots) {
+    cached_slot_count_ += slots;
+    prop_cache_[key] = {std::move(result), search_epoch_, slots};
+  }
+}
+
+void ClauseBuilder::FinishTask(std::vector<CacheUpdate>* updates, size_t k,
+                               size_t* cursor) {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  CacheUpdate& mine = (*updates)[k];
+  mine.done = true;
+  if (mine.admit != nullptr && k > *cursor) {
+    // Earlier tasks only add to the count, except by evicting their own
+    // cached entry; if even that cannot make room, the verdict is known.
+    // Dropping now rather than at its turn frees the result early without
+    // changing what is admitted.
+    uint64_t releasable = 0;
+    for (size_t j = *cursor; j < k; ++j) {
+      const CacheUpdate& u = (*updates)[j];
+      if (u.done && !u.evict) continue;
+      auto it = prop_cache_.find(u.key);
+      if (it != prop_cache_.end()) releasable += it->second.slots;
+    }
+    if (cached_slot_count_ + mine.admit->idsets.num_sets() >
+        opts_->propagation_cache_slots + releasable) {
+      mine.admit = nullptr;
+    }
+  }
+  for (; *cursor < updates->size() && (*updates)[*cursor].done; ++*cursor) {
+    CacheUpdate& u = (*updates)[*cursor];
+    if (u.evict) EvictLocked(u.key);
+    if (u.admit != nullptr) AdmitLocked(u.key, std::move(u.admit));
+  }
 }
 
 ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
@@ -242,7 +289,7 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
   std::vector<std::shared_ptr<const PropagationResult>> hop1(tasks.size());
   PrepareWorkers();
 
-  auto run_task = [&](size_t i, int worker) {
+  auto run_task = [&](size_t i, int worker, CacheUpdate* update) {
     const SearchTask& t = tasks[i];
     LiteralSearcher& searcher = searchers_[static_cast<size_t>(worker)];
     if (t.edge < 0) {
@@ -258,7 +305,7 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
       const JoinEdge& edge = edges[static_cast<size_t>(t.edge)];
       std::shared_ptr<const PropagationResult> p = GetPropagation(
           t.node, t.edge, -1, node_idsets_[static_cast<size_t>(t.node)], edge,
-          &prop_scratch_[static_cast<size_t>(worker)]);
+          &prop_scratch_[static_cast<size_t>(worker)], update);
       hop1[i] = p;
       if (p->ok) scored[i] = searcher.FindBest(edge.to_rel, p->idsets, *opts_);
     } else {
@@ -269,7 +316,7 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
       const JoinEdge& edge2 = edges[static_cast<size_t>(t.edge2)];
       std::shared_ptr<const PropagationResult> p =
           GetPropagation(t.node, t.edge, t.edge2, parent->idsets, edge2,
-                         &prop_scratch_[static_cast<size_t>(worker)]);
+                         &prop_scratch_[static_cast<size_t>(worker)], update);
       if (p->ok) {
         scored[i] = searcher.FindBest(edge2.to_rel, p->idsets, *opts_);
       }
@@ -277,19 +324,31 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
   };
 
   // Two waves: hop-0/hop-1 tasks first, then the hop-2 tasks that consume
-  // the first wave's propagations. Each wave's tasks are independent.
+  // the first wave's propagations. Each wave's tasks are independent; their
+  // cache updates are applied in task order (`FinishTask`), so which fresh
+  // results fit the budget never depends on which lane finished first.
   auto run_wave = [&](bool lookahead) {
+    std::vector<size_t> wave;
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      if ((tasks[i].edge2 >= 0) == lookahead) wave.push_back(i);
+    }
+    std::vector<CacheUpdate> updates(wave.size());
+    for (size_t k = 0; k < wave.size(); ++k) {
+      const SearchTask& t = tasks[wave[k]];
+      updates[k].key = {t.node, t.edge, t.edge2};
+    }
+    size_t cursor = 0;
+    auto run = [&](size_t k, int worker) {
+      run_task(wave[k], worker, &updates[k]);
+      FinishTask(&updates, k, &cursor);
+    };
     if (num_lanes() == 1) {
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        if ((tasks[i].edge2 >= 0) == lookahead) run_task(i, 0);
-      }
+      for (size_t k = 0; k < wave.size(); ++k) run(k, 0);
       return;
     }
     std::vector<std::function<void(int)>> fns;
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if ((tasks[i].edge2 >= 0) == lookahead) {
-        fns.push_back([&run_task, i](int worker) { run_task(i, worker); });
-      }
+    for (size_t k = 0; k < wave.size(); ++k) {
+      fns.push_back([&run, k](int worker) { run(k, worker); });
     }
     Bump(pool_tasks_, fns.size());
     pool_->RunTasks(fns);

@@ -103,17 +103,42 @@ class ClauseBuilder {
   void Append(const BestChoice& choice);
   void RecountAlive();
 
+  /// A search task's change to the propagation cache, held until every
+  /// earlier task of its wave has finished and then applied in task order,
+  /// so the cache's budget state moves exactly as in the 1-lane order.
+  struct CacheUpdate {
+    std::array<int32_t, 3> key{};
+    std::shared_ptr<PropagationResult> admit;  ///< fresh result to offer
+    bool evict = false;  ///< the cached entry failed its refresh
+    bool done = false;   ///< the task has finished
+  };
+
   /// Returns the propagation along `edge` for the path keyed by
   /// (node, e, e2), serving it from the per-build cache when possible:
   /// a current-round entry is returned as-is, a stale entry is refreshed
-  /// with an in-place arena compaction, and a miss recomputes
-  /// `PropagateIds` from `src` (caching the result while the slot budget
-  /// allows). `scratch` reuses that lane's propagation merge buffers. Safe
-  /// to call from pool tasks: each key is requested by exactly one task per
-  /// round, so only the map itself needs the lock.
+  /// with an in-place arena compaction (and evicted if the refresh fails),
+  /// and a miss recomputes `PropagateIds` from `src` (and offers the result
+  /// to the cache). `update` (pool tasks) defers those cache changes to
+  /// `FinishTask`; null applies them at once. `scratch` reuses that lane's
+  /// propagation merge buffers. Safe to call from pool tasks: each key is
+  /// requested by exactly one task per round, so only the map itself needs
+  /// the lock.
   std::shared_ptr<const PropagationResult> GetPropagation(
       int32_t node, int32_t e, int32_t e2, const IdSetStore& src,
-      const JoinEdge& edge, PropagationScratch* scratch);
+      const JoinEdge& edge, PropagationScratch* scratch,
+      CacheUpdate* update = nullptr);
+
+  /// Marks `(*updates)[k]` finished and applies every finished update from
+  /// `*cursor` on, in order, stopping at the first unfinished one. A fresh
+  /// result that must wait for earlier tasks is dropped at once when it
+  /// cannot fit even if every earlier pending update evicted, so a wave
+  /// never holds results the 1-lane order would have released.
+  void FinishTask(std::vector<CacheUpdate>* updates, size_t k, size_t* cursor);
+
+  /// Cache edits; the caller holds `cache_mu_`.
+  void EvictLocked(const std::array<int32_t, 3>& key);
+  void AdmitLocked(const std::array<int32_t, 3>& key,
+                   std::shared_ptr<PropagationResult> result);
 
   /// Bytes currently held by idset arenas (clause-node stores + propagation
   /// cache); sampled into `train.propagation.peak_id_bytes` at the

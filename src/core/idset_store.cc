@@ -11,7 +11,7 @@ void IdSetStore::Reset(uint32_t num_sets, TupleId universe) {
   nonempty_words_.assign(bitmap_ops::WordsForBits(num_sets), 0);
   universe_ = universe;
   words_per_set_ = (universe + 63) / 64;
-  bitmap_threshold_ = std::max(16u, 2 * words_per_set_);
+  bitmap_threshold_ = BitmapThreshold(universe);
 }
 
 void IdSetStore::InitIdentity(const std::vector<uint8_t>& alive) {

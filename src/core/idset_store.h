@@ -1,6 +1,7 @@
 #ifndef CROSSMINE_CORE_IDSET_STORE_H_
 #define CROSSMINE_CORE_IDSET_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -168,6 +169,10 @@ class IdSetStore {
   /// fixed `universe / 8` bytes no longer exceed the sorted array's
   /// `4 * cardinality` bytes.
   uint32_t bitmap_threshold() const { return bitmap_threshold_; }
+  /// The same dense break-even for any universe of target ids.
+  static uint32_t BitmapThreshold(TupleId universe) {
+    return std::max(16u, 2 * ((universe + 63) / 64));
+  }
   /// Whether `idset(s)` currently uses the bitmap representation.
   bool IsBitmap(uint32_t s) const {
     return entries_[s].kind == Entry::kBitmap && entries_[s].count > 0;

@@ -233,6 +233,7 @@ Status ShardedClassifier::Train(const Database& db,
   double scale = 1.0;
   uint64_t train_size = 0;
   for (TupleId t = 0; t < num_targets; ++t) train_size += in_train[t];
+  uint64_t score_size = train_size;
   if (shard_options_.merge_sample > 0 &&
       shard_options_.merge_sample < train_size) {
     std::vector<TupleId> ordered;
@@ -248,6 +249,7 @@ Status ShardedClassifier::Train(const Database& db,
     for (uint32_t i : pick) score_mask[ordered[i]] = 1;
     scale = static_cast<double>(train_size) /
             static_cast<double>(shard_options_.merge_sample);
+    score_size = shard_options_.merge_sample;
   }
 
   // Deterministic covering replay: candidates in (class, shard index,
@@ -257,6 +259,15 @@ Status ShardedClassifier::Train(const Database& db,
   // With one shard this replays the shard's own build decisions exactly —
   // every clause re-covers precisely the positives its builder removed —
   // so kRescore at K=1 is byte-identical to unsharded training.
+  //
+  // A candidate's mask does not depend on the replay, so each class's next
+  // `lanes` candidates are evaluated as one parallel wave; the replay then
+  // consumes the wave in order, and evaluations past the point where
+  // covering closes are discarded.
+  int lanes = ClauseEvalLanes(base_.num_threads, stats_.clauses_in,
+                              score_size, num_targets);
+  std::unique_ptr<ThreadPool> pool;
+  if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes);
   std::vector<Clause> merged_clauses;
   for (ClassId cls = 0; cls < num_classes_; ++cls) {
     std::vector<uint8_t> uncovered(num_targets, 0);
@@ -267,25 +278,36 @@ Status ShardedClassifier::Train(const Database& db,
         ++uncovered_count;
       }
     }
+    std::vector<const Clause*> candidates;
+    for (const CrossMineClassifier& model : trained) {
+      for (const Clause& clause : model.clauses()) {
+        if (clause.predicted_class == cls) candidates.push_back(&clause);
+      }
+    }
     size_t initial = uncovered_count;
     int kept = 0;
-    bool open = initial > 0;
-    for (size_t i = 0; open && i < trained.size(); ++i) {
-      for (const Clause& clause : trained[i].clauses()) {
-        if (clause.predicted_class != cls) continue;
-        if (static_cast<double>(uncovered_count) <=
-                base_.min_pos_fraction_left * static_cast<double>(initial) ||
-            kept >= base_.max_clauses_per_class) {
-          open = false;
-          break;
-        }
-        std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, score_mask);
+    auto open = [&] {
+      return static_cast<double>(uncovered_count) >
+                 base_.min_pos_fraction_left * static_cast<double>(initial) &&
+             kept < base_.max_clauses_per_class;
+    };
+    for (size_t next = 0; initial > 0 && next < candidates.size() && open();) {
+      std::vector<Clause> wave;
+      for (; wave.size() < static_cast<size_t>(lanes) &&
+             next < candidates.size();
+           ++next) {
+        wave.push_back(*candidates[next]);
+      }
+      std::vector<std::vector<uint8_t>> masks =
+          EvaluateClauses(db, wave, score_mask, pool.get());
+      for (size_t w = 0; w < wave.size() && open(); ++w) {
+        const std::vector<uint8_t>& mask = masks[w];
         uint32_t newly = 0;
         for (TupleId t = 0; t < num_targets; ++t) {
           if (uncovered[t] && mask[t]) ++newly;
         }
         if (newly == 0) continue;  // redundant across shards — drop
-        Clause out = clause;
+        Clause& out = wave[w];
         if (base_.reestimate_accuracy_on_training_set) {
           uint64_t sup_pos = 0, sup_neg = 0;
           for (TupleId t = 0; t < num_targets; ++t) {

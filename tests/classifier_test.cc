@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "datagen/financial.h"
+#include "datagen/mutagenesis.h"
 #include "datagen/synthetic.h"
 #include "eval/cross_validation.h"
 #include "eval/metrics.h"
@@ -245,6 +250,60 @@ TEST(ClassifierTest, ToStringListsClauses) {
   std::string s = model.ToString(f.db);
   EXPECT_NE(s.find("CrossMine model"), std::string::npos);
   EXPECT_NE(s.find(":-"), std::string::npos);
+}
+
+// Explain derives its answer from the same per-mode decision rule as bulk
+// Predict, so the two must agree on every target in every mode, and the
+// deciding clause must be one the target satisfies, of the predicted class.
+void ExpectExplainMatchesPredict(const Database& db, const char* tag) {
+  std::vector<TupleId> all(db.target_relation().num_tuples());
+  std::iota(all.begin(), all.end(), 0);
+  CrossMineClassifier model;
+  ASSERT_TRUE(model.Train(db, all).ok()) << tag;
+  for (PredictionMode mode :
+       {PredictionMode::kBestClause, PredictionMode::kWeightedVote,
+        PredictionMode::kDecisionList}) {
+    model.set_prediction_mode(mode);
+    std::vector<ClassId> bulk = model.Predict(db, all);
+    for (TupleId t : all) {
+      CrossMineClassifier::Explanation ex = model.Explain(db, t);
+      ASSERT_EQ(ex.predicted, model.Predict(db, {t})[0])
+          << tag << " mode " << static_cast<int>(mode) << " tuple " << t;
+      ASSERT_EQ(ex.predicted, bulk[t])
+          << tag << " mode " << static_cast<int>(mode) << " tuple " << t;
+      if (ex.clause_index < 0) continue;
+      EXPECT_EQ(model.clauses()[static_cast<size_t>(ex.clause_index)]
+                    .predicted_class,
+                ex.predicted);
+      EXPECT_NE(std::find(ex.satisfied.begin(), ex.satisfied.end(),
+                          ex.clause_index),
+                ex.satisfied.end());
+    }
+  }
+}
+
+TEST(ClassifierTest, ExplainMatchesPointPredictInEveryMode) {
+  datagen::SyntheticConfig syn;
+  syn.num_relations = 6;
+  syn.expected_tuples = 120;
+  syn.seed = 102;
+  StatusOr<Database> synthetic = datagen::GenerateSyntheticDatabase(syn);
+  ASSERT_TRUE(synthetic.ok());
+  ExpectExplainMatchesPredict(*synthetic, "synthetic");
+
+  datagen::FinancialConfig fin;
+  fin.num_loans = 80;
+  fin.seed = 5;
+  StatusOr<Database> financial = datagen::GenerateFinancialDatabase(fin);
+  ASSERT_TRUE(financial.ok());
+  ExpectExplainMatchesPredict(*financial, "financial");
+
+  datagen::MutagenesisConfig mut;
+  mut.num_molecules = 60;
+  mut.seed = 9;
+  StatusOr<Database> mutagenesis = datagen::GenerateMutagenesisDatabase(mut);
+  ASSERT_TRUE(mutagenesis.ok());
+  ExpectExplainMatchesPredict(*mutagenesis, "mutagenesis");
 }
 
 }  // namespace

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <numeric>
+
+#include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "core/classifier.h"
+#include "core/idset_store.h"
+#include "datagen/financial.h"
+#include "datagen/synthetic.h"
 #include "test_util.h"
 
 namespace crossmine {
@@ -175,6 +183,159 @@ TEST_P(ClauseEvalPropertyTest, MatchesBruteForceOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClauseEvalPropertyTest,
                          ::testing::Range<uint64_t>(200, 216));
+
+// ------------------------------------------------- multi-lane evaluation --
+
+std::vector<TupleId> AllTargets(const Database& db) {
+  std::vector<TupleId> ids(db.target_relation().num_tuples());
+  std::iota(ids.begin(), ids.end(), 0);
+  return ids;
+}
+
+Database SyntheticDb() {
+  datagen::SyntheticConfig cfg;
+  cfg.num_relations = 8;
+  cfg.expected_tuples = 200;
+  cfg.seed = 41;
+  StatusOr<Database> db = datagen::GenerateSyntheticDatabase(cfg);
+  CM_CHECK(db.ok());
+  return std::move(*db);
+}
+
+Database FinancialDb() {
+  datagen::FinancialConfig cfg;
+  cfg.num_loans = 120;
+  cfg.seed = 13;
+  StatusOr<Database> db = datagen::GenerateFinancialDatabase(cfg);
+  CM_CHECK(db.ok());
+  return std::move(*db);
+}
+
+TEST(EvaluateClausesTest, MasksIdenticalAtEveryLaneCount) {
+  for (const Database& db : {SyntheticDb(), FinancialDb()}) {
+    CrossMineClassifier model;
+    ASSERT_TRUE(model.Train(db, AllTargets(db)).ok());
+    ASSERT_GE(model.clauses().size(), 2u);
+    TupleId n = db.target_relation().num_tuples();
+    // The whole relation, and a sparse query of every third target.
+    std::vector<uint8_t> all(n, 1), sparse(n, 0);
+    for (TupleId t = 0; t < n; t += 3) sparse[t] = 1;
+    for (const std::vector<uint8_t>& query : {all, sparse}) {
+      std::vector<std::vector<uint8_t>> expected;
+      for (const Clause& clause : model.clauses()) {
+        expected.push_back(ClauseSatisfiedMask(db, clause, query));
+      }
+      EXPECT_EQ(EvaluateClauses(db, model.clauses(), query, nullptr),
+                expected);
+      for (int lanes : {1, 2, 4}) {
+        ThreadPool pool(lanes);
+        EXPECT_EQ(EvaluateClauses(db, model.clauses(), query, &pool),
+                  expected)
+            << lanes << " lanes";
+      }
+    }
+  }
+}
+
+TEST(EvaluateClausesTest, LaneRuleKeepsPointQueriesAndPoolLanesSequential) {
+  const TupleId universe = 20000;  // break-even max(16, 2 * 313) = 626
+  ASSERT_EQ(IdSetStore::BitmapThreshold(universe), 626u);
+  EXPECT_EQ(IdSetStore::BitmapThreshold(100), 16u);
+  EXPECT_EQ(ClauseEvalLanes(4, 46, 20000, universe), 4);
+  EXPECT_EQ(ClauseEvalLanes(4, 46, 626, universe), 4);
+  EXPECT_EQ(ClauseEvalLanes(4, 46, 625, universe), 1) << "below break-even";
+  EXPECT_EQ(ClauseEvalLanes(4, 46, 1, universe), 1) << "point query";
+  EXPECT_EQ(ClauseEvalLanes(4, 3, 20000, universe), 3) << "capped at clauses";
+  EXPECT_EQ(ClauseEvalLanes(1, 46, 20000, universe), 1);
+  EXPECT_EQ(ClauseEvalLanes(0, 46, 20000, universe),
+            std::min(46, ThreadPool::HardwareConcurrency()));
+  // On a pool lane (a serve worker, a shard worker) nothing nests.
+  ThreadPool pool(2);
+  std::vector<int> inside(3, -1);
+  std::vector<std::function<void(int)>> tasks;
+  for (size_t i = 0; i < inside.size(); ++i) {
+    tasks.push_back([&inside, i, universe](int) {
+      inside[i] = ClauseEvalLanes(4, 46, 20000, universe);
+    });
+  }
+  ASSERT_TRUE(pool.RunTasks(tasks));
+  EXPECT_EQ(inside, (std::vector<int>{1, 1, 1}));
+}
+
+/// Bulk predictions plus the `predict.*` counters (timers excluded) of one
+/// `Predict` on every target with `num_threads` lanes.
+struct PredictRun {
+  std::vector<ClassId> predictions;
+  MetricsSnapshot counters;
+};
+
+PredictRun RunPredict(CrossMineClassifier* model, const Database& db,
+                      int num_threads, bool with_metrics) {
+  model->set_num_threads(num_threads);
+  MetricsRegistry reg;
+  if (with_metrics) model->set_metrics(&reg);
+  PredictRun run;
+  run.predictions = model->Predict(db, AllTargets(db));
+  model->set_metrics(nullptr);
+  for (const auto& [key, value] : reg.Snapshot()) {
+    if (key.size() >= 8 && key.compare(key.size() - 8, 8, "_seconds") == 0) {
+      continue;
+    }
+    run.counters[key] = value;
+  }
+  return run;
+}
+
+TEST(EvaluateClausesTest, PredictIdenticalAtEveryLaneCountInEveryMode) {
+  for (const Database& db : {SyntheticDb(), FinancialDb()}) {
+    CrossMineClassifier model;
+    ASSERT_TRUE(model.Train(db, AllTargets(db)).ok());
+    for (PredictionMode mode :
+         {PredictionMode::kBestClause, PredictionMode::kWeightedVote,
+          PredictionMode::kDecisionList}) {
+      model.set_prediction_mode(mode);
+      PredictRun base = RunPredict(&model, db, 1, /*with_metrics=*/true);
+      ASSERT_EQ(base.predictions.size(), db.target_relation().num_tuples());
+      EXPECT_EQ(base.counters.at("predict.tuples"),
+                static_cast<double>(base.predictions.size()));
+      for (int lanes : {1, 2, 4}) {
+        PredictRun with = RunPredict(&model, db, lanes, true);
+        PredictRun without = RunPredict(&model, db, lanes, false);
+        EXPECT_EQ(with.predictions, base.predictions)
+            << "mode " << static_cast<int>(mode) << ", " << lanes << " lanes";
+        EXPECT_EQ(without.predictions, base.predictions)
+            << "mode " << static_cast<int>(mode) << ", " << lanes
+            << " lanes, no metrics";
+        EXPECT_EQ(with.counters, base.counters)
+            << "mode " << static_cast<int>(mode) << ", " << lanes << " lanes";
+      }
+    }
+  }
+}
+
+TEST(EvaluateClausesTest, DecisionListMatchesFirstSatisfiedClause) {
+  // Predict evaluates every clause on the full query. Its decision-list
+  // answer must equal the narrowing definition: each clause sees only the
+  // targets no earlier clause decided.
+  Database db = SyntheticDb();
+  CrossMineClassifier model;
+  ASSERT_TRUE(model.Train(db, AllTargets(db)).ok());
+  model.set_prediction_mode(PredictionMode::kDecisionList);
+  model.set_num_threads(4);
+  std::vector<ClassId> pred = model.Predict(db, AllTargets(db));
+  TupleId n = db.target_relation().num_tuples();
+  std::vector<uint8_t> undecided(n, 1);
+  std::vector<ClassId> expected(n, model.default_class());
+  for (const Clause& clause : model.clauses()) {
+    std::vector<uint8_t> mask = ClauseSatisfiedMask(db, clause, undecided);
+    for (TupleId t = 0; t < n; ++t) {
+      if (!mask[t]) continue;
+      expected[t] = clause.predicted_class;
+      undecided[t] = 0;
+    }
+  }
+  EXPECT_EQ(pred, expected);
+}
 
 }  // namespace
 }  // namespace crossmine

@@ -159,6 +159,40 @@ TEST(ParallelSearchTest, ReportCountersAreThreadCountInvariant) {
   EXPECT_GT(sequential.at("train.search.tasks"), 0.0);
 }
 
+// Near a full propagation-cache budget, which fresh propagations fit
+// decides how many later lookups miss. Admission happens in task order after
+// each search wave, so the `train.*` counters — cache misses included — must
+// not depend on the thread count or on which lane finished first.
+TEST(ParallelSearchTest, CountersThreadCountInvariantNearFullCacheBudget) {
+  datagen::SyntheticConfig cfg;
+  cfg.num_relations = 10;
+  cfg.expected_tuples = 200;
+  cfg.seed = 23;
+  StatusOr<Database> db = datagen::GenerateSyntheticDatabase(cfg);
+  ASSERT_TRUE(db.ok());
+  CrossMineOptions unbounded;
+  unbounded.use_sampling = true;
+  const double unbounded_misses =
+      TrainCounterTotals(*db, unbounded, 1).at("train.propagation.cache_misses");
+  // 20000 slots keeps all but ~4% of the unbounded run's hits; 5000 most.
+  for (uint64_t budget : {20000u, 5000u}) {
+    CrossMineOptions opts = unbounded;
+    opts.propagation_cache_slots = budget;
+    MetricsSnapshot sequential = TrainCounterTotals(*db, opts, 1);
+    // The budget binds: it turns some hits into misses, but not all.
+    EXPECT_GT(sequential.at("train.propagation.cache_misses"), unbounded_misses)
+        << "budget " << budget;
+    EXPECT_GT(sequential.at("train.propagation.cache_hits") +
+                  sequential.at("train.propagation.cache_refreshes"),
+              0.0)
+        << "budget " << budget;
+    for (int rep = 0; rep < 3; ++rep) {
+      EXPECT_EQ(TrainCounterTotals(*db, opts, 4), sequential)
+          << "budget " << budget << ", repetition " << rep;
+    }
+  }
+}
+
 TEST(ParallelSearchTest, AttachedMetricsDoNotPerturbTheModel) {
   datagen::SyntheticConfig cfg;
   cfg.num_relations = 8;
@@ -282,6 +316,39 @@ TEST(ThreadPoolTest, ShutdownDuringBatchCompletesInFlightTasks) {
     EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "task " << i;
   }
   EXPECT_FALSE(pool.RunTasks(tasks));
+}
+
+TEST(ThreadPoolTest, InsideTaskMarksWorkerLanesAndTheCaller) {
+  EXPECT_FALSE(ThreadPool::InsideTask());
+  for (int lanes : {1, 4}) {
+    ThreadPool pool(lanes);
+    constexpr int kTasks = 64;
+    std::vector<std::atomic<int>> inside(kTasks);
+    std::vector<std::function<void(int)>> tasks;
+    for (int i = 0; i < kTasks; ++i) {
+      tasks.push_back([&inside, i](int) {
+        inside[static_cast<size_t>(i)] = ThreadPool::InsideTask() ? 1 : 0;
+      });
+    }
+    ASSERT_TRUE(pool.RunTasks(tasks));
+    for (int i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(inside[static_cast<size_t>(i)].load(), 1)
+          << lanes << " lanes, task " << i;
+    }
+    EXPECT_FALSE(ThreadPool::InsideTask())
+        << "the caller must leave RunTasks unmarked";
+  }
+  // A pool nested inside a task restores the outer mark, not a cleared one.
+  ThreadPool outer(2), inner(2);
+  std::atomic<int> after_inner{0};
+  std::vector<std::function<void(int)>> tasks;
+  tasks.push_back([&](int) {
+    inner.RunTasks({[](int) {}});
+    after_inner = ThreadPool::InsideTask() ? 1 : 0;
+  });
+  ASSERT_TRUE(outer.RunTasks(tasks));
+  EXPECT_EQ(after_inner.load(), 1);
+  EXPECT_FALSE(ThreadPool::InsideTask());
 }
 
 TEST(ThreadPoolTest, ResolveMapsZeroToHardwareConcurrency) {

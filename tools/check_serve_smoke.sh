@@ -5,7 +5,8 @@
 #   * a mixed predict / predict_batch / explain / stats load completes with
 #     zero hard errors and valid client-side JSON;
 #   * server `predict` responses are byte-identical to offline
-#     `crossmine predict` output (the determinism invariant);
+#     `crossmine predict` output (the determinism invariant), and offline
+#     predict output is byte-identical at --threads 1 and 4 in every mode;
 #   * SIGINT mid-life drains gracefully: the server exits 0 and flushes a
 #     final metrics snapshot with the serve.* counters.
 #
@@ -67,6 +68,19 @@ cmp "$DIR/dump.txt" "$DIR/offline.txt" || {
   echo "check_serve_smoke: server predictions diverge from offline predict" >&2
   exit 1
 }
+
+# 2b. Offline bulk predict evaluates clauses on parallel lanes; its output
+# must be byte-identical at any --threads, in every prediction mode.
+for MODE in best vote list; do
+  "$BIN" predict "$DIR/data" "$DIR/financial.cm" --mode "$MODE" \
+    --threads 1 > "$DIR/predict_t1.txt" 2>/dev/null
+  "$BIN" predict "$DIR/data" "$DIR/financial.cm" --mode "$MODE" \
+    --threads 4 > "$DIR/predict_t4.txt" 2>/dev/null
+  cmp "$DIR/predict_t1.txt" "$DIR/predict_t4.txt" || {
+    echo "check_serve_smoke: --mode $MODE predict differs at --threads 1 and 4" >&2
+    exit 1
+  }
+done
 
 # 3. Graceful drain: SIGINT → exit 0 with a final JSON snapshot.
 kill -INT "$SERVER_PID"

@@ -91,7 +91,7 @@ int Usage() {
       "  crossmine train <db> <model-file> [--report text|json]\n"
       "                                    [model options]\n"
       "  crossmine predict <db> <model-file> [--mode best|vote|list]\n"
-      "                                      [--report text|json]\n"
+      "                                      [--threads N] [--report text|json]\n"
       "  crossmine explain <db> <model-file> <tuple-id>\n"
       "  crossmine serve <db> <model-file>... [--port N] [--threads N]\n"
       "                  [--max-queue N] [--batch-size N] [--deadline-ms N]\n"
@@ -135,7 +135,8 @@ int Usage() {
       "  --no-aggregations      disable aggregation literals\n"
       "  --bitmap-index 0|1     bitmap-index counting kernel (default 1;\n"
       "                         either value trains the identical model)\n"
-      "  --threads N            clause-search worker threads (0 = auto)\n"
+      "  --threads N            clause-search and bulk-prediction worker\n"
+      "                         threads (0 = auto)\n"
       "  --seed N               sampling seed\n"
       "  --mode best|vote|list  prediction mode\n"
       "  --shards K             shard-parallel training: hash-split the\n"
@@ -759,7 +760,9 @@ int Predict(int argc, char** argv) {
   }
   ReportMode report;
   if (!ParseReportMode(opts, &report)) return 2;
-  model->set_prediction_mode(ParseCrossMineOptions(opts).prediction_mode);
+  const CrossMineOptions parsed = ParseCrossMineOptions(opts);
+  model->set_prediction_mode(parsed.prediction_mode);
+  model->set_num_threads(parsed.num_threads);
   std::vector<TupleId> all;
   for (TupleId t = 0; t < db->target_relation().num_tuples(); ++t) {
     all.push_back(t);
