@@ -1,5 +1,7 @@
 #include "core/clause_builder.h"
 
+#include <condition_variable>
+#include <deque>
 #include <functional>
 #include <utility>
 
@@ -39,7 +41,9 @@ ClauseBuilder::ClauseBuilder(const Database* db,
     prop_rejected_ = metrics_->counter("train.propagation.rejected");
     search_rounds_ = metrics_->counter("train.search.rounds");
     search_tasks_ = metrics_->counter("train.search.tasks");
+    scan_units_ = metrics_->counter("train.search.scan_units");
     pool_tasks_ = metrics_->counter("train.pool.tasks");
+    pool_idle_ = metrics_->timer("train.pool.idle_seconds");
     literals_accepted_ = metrics_->counter("train.literals_accepted");
     peak_id_bytes_ = metrics_->counter("train.propagation.peak_id_bytes");
     arena_reuse_ = metrics_->counter("train.propagation.arena_reuse");
@@ -285,48 +289,80 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
   Bump(search_rounds_);
   Bump(search_tasks_, tasks.size());
 
-  std::vector<CandidateLiteral> scored(tasks.size());
+  // Each task scans the relation its path ends at.
+  std::vector<ScanJob> jobs(tasks.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    const SearchTask& t = tasks[i];
+    int32_t last = t.edge2 >= 0 ? t.edge2 : t.edge;
+    jobs[i].rel = last < 0
+                      ? clause_.nodes()[static_cast<size_t>(t.node)].relation
+                      : edges[static_cast<size_t>(last)].to_rel;
+    LiteralSearcher::ScanUnits(db_->relation(jobs[i].rel), *opts_,
+                               &jobs[i].units);
+    jobs[i].results.resize(jobs[i].units.size());
+    jobs[i].left = jobs[i].units.size();
+  }
   std::vector<std::shared_ptr<const PropagationResult>> hop1(tasks.size());
   PrepareWorkers();
 
-  auto run_task = [&](size_t i, int worker, CacheUpdate* update) {
+  // Propagates task `i` (hops 1 and 2) and points its job at the idsets to
+  // scan; false when there is nothing to scan.
+  auto prepare_scan = [&](size_t i, int worker, CacheUpdate* update) {
     const SearchTask& t = tasks[i];
-    LiteralSearcher& searcher = searchers_[static_cast<size_t>(worker)];
+    ScanJob& job = jobs[i];
     if (t.edge < 0) {
       // Hop 0: constraint on the active node itself (empty prop-path).
       // Node 0 is the target relation, whose store stays the identity
       // (`idset(t) = {t}` iff alive) through every FilterAndCompact.
-      const ClauseNode& node = clause_.nodes()[static_cast<size_t>(t.node)];
-      scored[i] = searcher.FindBest(node.relation,
-                                    node_idsets_[static_cast<size_t>(t.node)],
-                                    *opts_, /*identity_idsets=*/t.node == 0);
-    } else if (t.edge2 < 0) {
-      // Hop 1: one propagation along a join edge leaving the node.
-      const JoinEdge& edge = edges[static_cast<size_t>(t.edge)];
-      std::shared_ptr<const PropagationResult> p = GetPropagation(
-          t.node, t.edge, -1, node_idsets_[static_cast<size_t>(t.node)], edge,
-          &prop_scratch_[static_cast<size_t>(worker)], update);
-      hop1[i] = p;
-      if (p->ok) scored[i] = searcher.FindBest(edge.to_rel, p->idsets, *opts_);
+      job.idsets = &node_idsets_[static_cast<size_t>(t.node)];
+      job.identity = t.node == 0;
     } else {
-      // Hop 2: look-ahead through the parent task's propagation.
-      const std::shared_ptr<const PropagationResult>& parent =
-          hop1[static_cast<size_t>(t.parent)];
-      if (parent == nullptr || !parent->ok) return;
-      const JoinEdge& edge2 = edges[static_cast<size_t>(t.edge2)];
-      std::shared_ptr<const PropagationResult> p =
-          GetPropagation(t.node, t.edge, t.edge2, parent->idsets, edge2,
-                         &prop_scratch_[static_cast<size_t>(worker)], update);
-      if (p->ok) {
-        scored[i] = searcher.FindBest(edge2.to_rel, p->idsets, *opts_);
+      // Hop 1 propagates along a join edge leaving the node; hop 2 (look-
+      // ahead) continues through the parent task's propagation.
+      const IdSetStore* src = &node_idsets_[static_cast<size_t>(t.node)];
+      int32_t e = t.edge;
+      if (t.edge2 >= 0) {
+        const std::shared_ptr<const PropagationResult>& parent =
+            hop1[static_cast<size_t>(t.parent)];
+        if (parent == nullptr || !parent->ok) return false;
+        src = &parent->idsets;
+        e = t.edge2;
       }
+      const JoinEdge& edge = edges[static_cast<size_t>(e)];
+      std::shared_ptr<const PropagationResult> p = GetPropagation(
+          t.node, t.edge, t.edge2, *src, edge,
+          &prop_scratch_[static_cast<size_t>(worker)], update);
+      if (t.edge2 < 0) hop1[i] = p;
+      if (!p->ok || job.units.empty()) return false;
+      job.idsets = &p->idsets;
+      job.hold = std::move(p);
+    }
+    Bump(scan_units_, job.units.size());
+    return !job.units.empty();
+  };
+
+  // Claims and runs `job`'s units until none is left unclaimed.
+  auto run_units = [&](ScanJob* job, int worker) {
+    LiteralSearcher& searcher = searchers_[static_cast<size_t>(worker)];
+    for (size_t u; (u = job->next.fetch_add(1)) < job->units.size();) {
+      job->results[u] = searcher.ScanUnit(job->rel, job->units[u],
+                                          *job->idsets, *opts_,
+                                          job->identity);
+      if (job->left.fetch_sub(1) == 1) job->hold.reset();
     }
   };
 
   // Two waves: hop-0/hop-1 tasks first, then the hop-2 tasks that consume
-  // the first wave's propagations. Each wave's tasks are independent; their
-  // cache updates are applied in task order (`FinishTask`), so which fresh
-  // results fit the budget never depends on which lane finished first.
+  // the first wave's propagations. Within a wave every lane claims the next
+  // task in enumeration order (claimed out of order, a fresh propagation
+  // would wait longer for its in-order cache admission, holding memory),
+  // propagates, publishes the task's scan units and scans them; a lane
+  // finding no task left takes published units that are still unclaimed,
+  // and waits only while a propagation may yet publish some. A lane thus
+  // starts a propagation only once its last one's units are all claimed,
+  // and each propagation is released with its last unit. Cache updates
+  // are applied in task order (`FinishTask`), so which fresh results fit
+  // the budget never depends on which lane finished first.
   auto run_wave = [&](bool lookahead) {
     std::vector<size_t> wave;
     for (size_t i = 0; i < tasks.size(); ++i) {
@@ -338,20 +374,83 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
       updates[k].key = {t.node, t.edge, t.edge2};
     }
     size_t cursor = 0;
-    auto run = [&](size_t k, int worker) {
-      run_task(wave[k], worker, &updates[k]);
-      FinishTask(&updates, k, &cursor);
+    std::mutex mu;
+    std::condition_variable cv;
+    // Guarded by `mu`: the next task of the wave to hand out, tasks claimed
+    // but not yet published, lanes blocked in `cv`, and published jobs.
+    size_t next_task = 0;
+    int propagating = 0;
+    int waiting = 0;
+    std::deque<ScanJob*> open;
+    std::atomic<uint64_t> busy_ns{0};
+    const bool timed = pool_idle_ != nullptr;
+
+    // True once the lane has work (a task, or a published unit to take)
+    // or the wave has none left to publish; the caller holds `mu`.
+    auto ready = [&] {
+      while (!open.empty() &&
+             open.front()->next.load() >= open.front()->units.size()) {
+        open.pop_front();
+      }
+      return next_task < wave.size() || !open.empty() || propagating == 0;
     };
+    auto lane = [&](int worker) {
+      for (;;) {
+        size_t k = wave.size();
+        ScanJob* steal = nullptr;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          if (!ready()) {
+            ++waiting;
+            cv.wait(lock, ready);
+            --waiting;
+          }
+          if (next_task < wave.size()) {
+            k = next_task++;
+            ++propagating;
+          } else if (!open.empty()) {
+            steal = open.front();
+          } else {
+            return;
+          }
+        }
+        Stopwatch watch;
+        ScanJob* job = steal;
+        if (job == nullptr) {
+          ScanJob& mine = jobs[wave[k]];
+          bool scan = prepare_scan(wave[k], worker, &updates[k]);
+          FinishTask(&updates, k, &cursor);
+          std::lock_guard<std::mutex> lock(mu);
+          --propagating;
+          if (scan) {
+            open.push_back(&mine);
+            job = &mine;
+          }
+          if (waiting > 0 && (scan || propagating == 0)) cv.notify_all();
+        }
+        if (job != nullptr) run_units(job, worker);
+        if (timed) {
+          busy_ns.fetch_add(
+              static_cast<uint64_t>(watch.ElapsedSeconds() * 1e9));
+        }
+      }
+    };
+
+    Stopwatch wall;
     if (num_lanes() == 1) {
-      for (size_t k = 0; k < wave.size(); ++k) run(k, 0);
-      return;
+      lane(0);
+    } else {
+      std::vector<std::function<void(int)>> fns(
+          static_cast<size_t>(num_lanes()), lane);
+      Bump(pool_tasks_, wave.size());
+      pool_->RunTasks(fns);
     }
-    std::vector<std::function<void(int)>> fns;
-    for (size_t k = 0; k < wave.size(); ++k) {
-      fns.push_back([&run, k](int worker) { run(k, worker); });
+    if (timed) {
+      // Lane idle time: the wave's wall on every lane, less the time lanes
+      // spent propagating and scanning.
+      pool_idle_->AddSeconds(num_lanes() * wall.ElapsedSeconds() -
+                             static_cast<double>(busy_ns.load()) * 1e-9);
     }
-    Bump(pool_tasks_, fns.size());
-    pool_->RunTasks(fns);
   };
   run_wave(/*lookahead=*/false);
   {
@@ -366,14 +465,19 @@ ClauseBuilder::BestChoice ClauseBuilder::FindBestLiteral() {
     }
   }
 
-  // Deterministic reduction in task-enumeration (= sequential-loop) order.
+  // Deterministic reduction in task-enumeration (= sequential-loop) order,
+  // and within a task in scan-unit order.
   BestChoice best;
   for (size_t i = 0; i < tasks.size(); ++i) {
     const SearchTask& t = tasks[i];
+    CandidateLiteral scored;
+    for (const CandidateLiteral& cand : jobs[i].results) {
+      if (cand.gain > scored.gain) scored = cand;
+    }
     std::vector<int32_t> path;
     if (t.edge >= 0) path.push_back(t.edge);
     if (t.edge2 >= 0) path.push_back(t.edge2);
-    Consider(&best, scored[i], t.node, std::move(path));
+    Consider(&best, scored, t.node, std::move(path));
   }
   // All tasks have joined: sample the arena footprint at this quiescent
   // point. The state here is identical at any thread count, so the peak is

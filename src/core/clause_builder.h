@@ -2,6 +2,7 @@
 #define CROSSMINE_CORE_CLAUSE_BUILDER_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -34,12 +35,17 @@ namespace crossmine {
 ///
 /// Every (active-node, edge-path) candidate is an independent task: a
 /// hop-0 constraint scan, a one-hop propagation + scan, or a look-ahead
-/// second hop + scan. When a `ThreadPool` is supplied the tasks run on its
-/// workers, each with its own `LiteralSearcher` scratch state; results land
-/// in task-indexed slots and are reduced sequentially in the exact order
-/// the sequential loops visit candidates, so any thread count produces the
-/// identical clause (ties keep breaking by node index, then edge path,
-/// then attribute/value scan order).
+/// second hop + scan. A task's scan splits further into scan units
+/// (`LiteralSearcher::ScanUnits`: one per attribute, plus aggregations).
+/// When a `ThreadPool` is supplied, its lanes claim tasks; the lane that
+/// propagated a task scans that task's units, and lanes left without a
+/// task take the units still unclaimed, so one wide relation no longer
+/// holds a whole wave on one lane. Each lane has its own
+/// `LiteralSearcher` scratch state; results land in (task, unit)-indexed
+/// slots and are reduced sequentially in the exact order the sequential
+/// loops visit candidates, so any thread count produces the identical
+/// clause (ties keep breaking by node index, then edge path, then
+/// attribute/value scan order).
 ///
 /// Propagation work is reused across search rounds: each successful
 /// per-(node, edge-path) `PropagationResult` — its idsets arena-backed in
@@ -90,6 +96,21 @@ class ClauseBuilder {
     int32_t parent = -1;  ///< index of the hop-1 task feeding a hop-2 task
   };
 
+  /// One task's literal scan: its relation and idsets plus one result slot
+  /// per scan unit. Lanes claim units through `next`; the lane finishing
+  /// the last one drops `hold`, so a propagation lives only while its
+  /// units are unfinished.
+  struct ScanJob {
+    RelId rel = 0;
+    const IdSetStore* idsets = nullptr;
+    bool identity = false;
+    std::shared_ptr<const PropagationResult> hold;
+    std::vector<AttrId> units;
+    std::vector<CandidateLiteral> results;
+    std::atomic<size_t> next{0};  ///< next unit to claim
+    std::atomic<size_t> left{0};  ///< units not yet finished
+  };
+
   /// A cached propagation, refreshed lazily once per search round.
   struct CachedPropagation {
     std::shared_ptr<PropagationResult> result;
@@ -104,13 +125,13 @@ class ClauseBuilder {
   void RecountAlive();
 
   /// A search task's change to the propagation cache, held until every
-  /// earlier task of its wave has finished and then applied in task order,
+  /// earlier task of its wave has propagated and then applied in task order,
   /// so the cache's budget state moves exactly as in the 1-lane order.
   struct CacheUpdate {
     std::array<int32_t, 3> key{};
     std::shared_ptr<PropagationResult> admit;  ///< fresh result to offer
     bool evict = false;  ///< the cached entry failed its refresh
-    bool done = false;   ///< the task has finished
+    bool done = false;   ///< the task has propagated
   };
 
   /// Returns the propagation along `edge` for the path keyed by
@@ -170,7 +191,9 @@ class ClauseBuilder {
   Counter* prop_rejected_ = nullptr;
   Counter* search_rounds_ = nullptr;
   Counter* search_tasks_ = nullptr;
+  Counter* scan_units_ = nullptr;
   Counter* pool_tasks_ = nullptr;
+  Timer* pool_idle_ = nullptr;
   Counter* literals_accepted_ = nullptr;
   Counter* peak_id_bytes_ = nullptr;
   Counter* arena_reuse_ = nullptr;

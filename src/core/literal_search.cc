@@ -86,7 +86,26 @@ void LiteralSearcher::Offer(CandidateLiteral* best, const Constraint& c,
   }
 }
 
-CandidateLiteral LiteralSearcher::FindBest(RelId rel_id,
+void LiteralSearcher::ScanUnits(const Relation& rel,
+                                const CrossMineOptions& opts,
+                                std::vector<AttrId>* units) {
+  for (AttrId a = 0; a < rel.schema().num_attrs(); ++a) {
+    switch (rel.schema().attr(a).kind) {
+      case AttrKind::kPrimaryKey:
+      case AttrKind::kForeignKey:
+        break;  // keys are join plumbing, not literal material
+      case AttrKind::kCategorical:
+        units->push_back(a);
+        break;
+      case AttrKind::kNumerical:
+        if (opts.use_numerical_literals) units->push_back(a);
+        break;
+    }
+  }
+  if (opts.use_aggregation_literals) units->push_back(kAggregationUnit);
+}
+
+CandidateLiteral LiteralSearcher::ScanUnit(RelId rel_id, AttrId unit,
                                            const IdSetStore& idsets,
                                            const CrossMineOptions& opts,
                                            bool identity_idsets) {
@@ -103,27 +122,31 @@ CandidateLiteral LiteralSearcher::FindBest(RelId rel_id,
   offered_ = 0;
   hits_ = 0;
   CandidateLiteral best;
-  for (AttrId a = 0; a < rel.schema().num_attrs(); ++a) {
-    switch (rel.schema().attr(a).kind) {
-      case AttrKind::kPrimaryKey:
-      case AttrKind::kForeignKey:
-        break;  // keys are join plumbing, not literal material
-      case AttrKind::kCategorical:
-        SearchCategorical(rel, a, idsets, &best);
-        break;
-      case AttrKind::kNumerical:
-        if (opts.use_numerical_literals) {
-          SearchNumerical(rel, a, idsets, &best);
-        }
-        break;
-    }
-  }
-  if (opts.use_aggregation_literals) {
-    SearchAggregations(rel, idsets, opts, &best);
+  if (unit == kAggregationUnit) {
+    SearchAggregations(rel, idsets, &best);
+  } else if (rel.schema().attr(unit).kind == AttrKind::kCategorical) {
+    SearchCategorical(rel, unit, idsets, &best);
+  } else {
+    SearchNumerical(rel, unit, idsets, &best);
   }
   if (literals_scored_ != nullptr) literals_scored_->Add(offered_);
   if (index_hits_ != nullptr && hits_ != 0) index_hits_->Add(hits_);
   if (search_time_ != nullptr) search_time_->AddSeconds(watch.ElapsedSeconds());
+  return best;
+}
+
+CandidateLiteral LiteralSearcher::FindBest(RelId rel_id,
+                                           const IdSetStore& idsets,
+                                           const CrossMineOptions& opts,
+                                           bool identity_idsets) {
+  std::vector<AttrId> units;
+  ScanUnits(db_->relation(rel_id), opts, &units);
+  CandidateLiteral best;
+  for (AttrId unit : units) {
+    CandidateLiteral cand = ScanUnit(rel_id, unit, idsets, opts,
+                                     identity_idsets);
+    if (cand.gain > best.gain) best = cand;
+  }
   return best;
 }
 
@@ -470,9 +493,7 @@ void LiteralSearcher::SweepSortedTargets(
 
 void LiteralSearcher::SearchAggregations(const Relation& rel,
                                          const IdSetStore& idsets,
-                                         const CrossMineOptions& opts,
                                          CandidateLiteral* best) {
-  (void)opts;
   const std::vector<uint8_t>& alive = *alive_;
 
   // Per-target join count (shared by count(*) and as the divisor for avg).

@@ -49,8 +49,10 @@ struct CandidateLiteral {
 /// byte-identical either way.
 ///
 /// The searcher owns scratch buffers sized to the number of target tuples;
-/// reuse one instance across calls.
-class LiteralSearcher {
+/// reuse one instance across calls. Instances are cache-line aligned: the
+/// clause search keeps one per pool lane side by side, and `Offer` writes
+/// `offered_` for every candidate.
+class alignas(64) LiteralSearcher {
  public:
   /// `positive` flags each target tuple of the positive class; it must
   /// outlive the searcher.
@@ -61,7 +63,7 @@ class LiteralSearcher {
   void SetContext(const std::vector<uint8_t>* alive, uint32_t pos,
                   uint32_t neg);
 
-  /// Attaches a metrics registry (borrowed; null detaches). `FindBest`
+  /// Attaches a metrics registry (borrowed; null detaches). `ScanUnit`
   /// then accumulates scan wall time into `train.phase.literal_search_seconds`,
   /// one `train.literals_scored` tick per candidate offered to the gain
   /// comparison, and one `train.index.hits` tick per counting served by
@@ -69,7 +71,28 @@ class LiteralSearcher {
   /// sweep pair). Counting never alters which literal wins.
   void set_metrics(MetricsRegistry* metrics);
 
-  /// Best constraint on `rel` given `idsets` (parallel to rel's tuples).
+  /// The unit `ScanUnit` scans for all aggregation literals of a relation.
+  static constexpr AttrId kAggregationUnit = kInvalidAttr;
+
+  /// Appends to `units` the scan units of `rel` under `opts`, in the order
+  /// `FindBest` offers their candidates: every categorical attribute, every
+  /// numerical attribute (with numerical literals on), then
+  /// `kAggregationUnit` (with aggregation literals on). Key attributes
+  /// yield no unit. No unit reads another's result, so units of one
+  /// relation may run on different searchers in any order.
+  static void ScanUnits(const Relation& rel, const CrossMineOptions& opts,
+                        std::vector<AttrId>* units);
+
+  /// Best constraint of one scan unit (an attribute, or `kAggregationUnit`)
+  /// of `rel` given `idsets`. Reducing the units' results in `ScanUnits`
+  /// order, keeping a later one only when its gain is strictly greater,
+  /// yields exactly `FindBest`'s result.
+  CandidateLiteral ScanUnit(RelId rel, AttrId unit, const IdSetStore& idsets,
+                            const CrossMineOptions& opts,
+                            bool identity_idsets = false);
+
+  /// Best constraint on `rel` given `idsets` (parallel to rel's tuples):
+  /// every scan unit in order, reduced as above.
   /// `identity_idsets` asserts the caller-known invariant
   /// `idset(t) = {t} iff alive[t]` (the clause's node-0 store): the bitmap
   /// engine then counts straight off the AttrIndex postings without
@@ -88,7 +111,6 @@ class LiteralSearcher {
   void SearchNumerical(const Relation& rel, AttrId attr,
                        const IdSetStore& idsets, CandidateLiteral* best);
   void SearchAggregations(const Relation& rel, const IdSetStore& idsets,
-                          const CrossMineOptions& opts,
                           CandidateLiteral* best);
 
   /// Sweeps entries (sorted ascending by value) in both directions, offering
@@ -113,7 +135,7 @@ class LiteralSearcher {
 
   /// Bitmap-engine state, rebuilt by `SetContext`: the alive targets of each
   /// class as kernel operands, plus the union accumulator. `bitmap_on_` /
-  /// `identity_` are per-`FindBest` mode flags.
+  /// `identity_` are per-`ScanUnit` mode flags.
   std::vector<uint64_t> alive_pos_words_;
   std::vector<uint64_t> alive_neg_words_;
   std::vector<uint64_t> union_words_;
@@ -122,7 +144,7 @@ class LiteralSearcher {
   bool identity_ = false;
 
   /// Cached metric handles (null when detached). `offered_` / `hits_` batch
-  /// the per-candidate counts locally during one `FindBest` so the hot
+  /// the per-candidate counts locally during one `ScanUnit` so the hot
   /// `Offer` path never touches an atomic; they are flushed once per call.
   Counter* literals_scored_ = nullptr;
   Counter* index_hits_ = nullptr;

@@ -35,8 +35,9 @@ struct PropagationResult {
 /// lane amortizes the buffers across every propagation that lane runs —
 /// after warm-up the hot path stops allocating. (The per-join-value grouping
 /// itself comes from the source relation's cached hash index, so no grouping
-/// buffers live here.)
-struct PropagationScratch {
+/// buffers live here.) Cache-line aligned, because pool lanes keep theirs
+/// side by side and grow these vectors in their hot loops.
+struct alignas(64) PropagationScratch {
   /// (join value, source tuple) pairs of the non-empty source tuples,
   /// sorted to form the per-value buckets
   std::vector<std::pair<int64_t, TupleId>> groups;

@@ -4,9 +4,15 @@
 
 #include <map>
 #include <set>
+#include <utility>
 
+#include "common/random.h"
+#include "core/constraint_eval.h"
 #include "core/foil_gain.h"
 #include "core/propagation.h"
+#include "datagen/financial.h"
+#include "datagen/mutagenesis.h"
+#include "datagen/synthetic.h"
 #include "test_util.h"
 
 namespace crossmine {
@@ -284,6 +290,184 @@ TEST_P(LiteralSearchPropertyTest, CategoricalCountsMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiteralSearchPropertyTest,
                          ::testing::Range<uint64_t>(100, 112));
+
+// --- Scan units: the per-attribute slices the parallel search schedules.
+
+/// One store per relation of `db`, each reached breadth-first from the
+/// target by propagating along the first edge that reaches it (the target
+/// relation keeps the identity store over `alive`).
+std::vector<std::pair<RelId, IdSetStore>> ReachableStores(
+    const Database& db, const std::vector<uint8_t>& alive, bool bitmap) {
+  std::vector<std::pair<RelId, IdSetStore>> stores;
+  std::vector<uint8_t> reached(db.num_relations(), 0);
+  stores.emplace_back(db.target(), IdSetStore());
+  stores.back().second.InitIdentity(alive);
+  reached[db.target()] = 1;
+  for (size_t next = 0; next < stores.size(); ++next) {
+    for (int32_t e : db.OutEdges(stores[next].first)) {
+      const JoinEdge& edge = db.edges()[static_cast<size_t>(e)];
+      if (reached[edge.to_rel]) continue;
+      PropagationResult prop = PropagateIds(db, edge, stores[next].second,
+                                            &alive, {}, nullptr, bitmap);
+      if (!prop.ok) continue;
+      reached[edge.to_rel] = 1;
+      stores.emplace_back(edge.to_rel, std::move(prop.idsets));
+    }
+  }
+  return stores;
+}
+
+void ExpectSameCandidate(const CandidateLiteral& a, const CandidateLiteral& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.gain, b.gain) << where;
+  EXPECT_EQ(a.pos_cov, b.pos_cov) << where;
+  EXPECT_EQ(a.neg_cov, b.neg_cov) << where;
+  EXPECT_EQ(a.constraint.attr, b.constraint.attr) << where;
+  EXPECT_EQ(a.constraint.agg, b.constraint.agg) << where;
+  EXPECT_EQ(a.constraint.cmp, b.constraint.cmp) << where;
+  EXPECT_EQ(a.constraint.category, b.constraint.category) << where;
+  EXPECT_EQ(a.constraint.threshold, b.constraint.threshold) << where;
+}
+
+/// On every relation of `db`, under random alive masks, both counting
+/// engines and (on the target) the identity hint on and off: the units of
+/// `ScanUnits`, scanned in reverse order on two searchers that each carry
+/// scratch state from other units, then reduced in `ScanUnits` order with a
+/// strict `>`, give exactly `FindBest`'s candidate. The winner's coverage
+/// is re-counted with `ApplyConstraint`, which shares no counting code with
+/// the searcher.
+void ExpectUnitsMatchFindBest(const Database& db, uint64_t seed) {
+  const TupleId n = db.target_relation().num_tuples();
+  std::vector<uint8_t> positive(n);
+  for (TupleId t = 0; t < n; ++t) positive[t] = db.labels()[t] == 1;
+  Rng rng(seed);
+  int checked = 0;
+  for (double keep : {1.0, 0.7, 0.3}) {
+    std::vector<uint8_t> alive(n);
+    uint32_t pos = 0, neg = 0;
+    for (TupleId t = 0; t < n; ++t) {
+      alive[t] = rng.Bernoulli(keep) ? 1 : 0;
+      if (!alive[t]) continue;
+      if (positive[t]) {
+        ++pos;
+      } else {
+        ++neg;
+      }
+    }
+    for (bool bitmap : {false, true}) {
+      CrossMineOptions opts;  // numerical and aggregation literals on
+      opts.use_bitmap_index = bitmap;
+      LiteralSearcher whole(&db, &positive);
+      LiteralSearcher odd(&db, &positive);
+      LiteralSearcher even(&db, &positive);
+      for (LiteralSearcher* s : {&whole, &odd, &even}) {
+        s->SetContext(&alive, pos, neg);
+      }
+      std::vector<std::pair<RelId, IdSetStore>> stores =
+          ReachableStores(db, alive, bitmap);
+      EXPECT_EQ(stores.size(), db.num_relations())
+          << "a relation was not reached from the target";
+      for (const auto& [rel, store] : stores) {
+        std::vector<AttrId> units;
+        LiteralSearcher::ScanUnits(db.relation(rel), opts, &units);
+        for (bool identity : {false, true}) {
+          if (identity && rel != db.target()) continue;
+          std::string where = db.relation(rel).schema().name() +
+                              " keep=" + std::to_string(keep) +
+                              " bitmap=" + std::to_string(bitmap) +
+                              " identity=" + std::to_string(identity);
+          CandidateLiteral expected =
+              whole.FindBest(rel, store, opts, identity);
+          std::vector<CandidateLiteral> results(units.size());
+          for (size_t u = units.size(); u-- > 0;) {
+            LiteralSearcher& s = u % 2 == 0 ? even : odd;
+            results[u] = s.ScanUnit(rel, units[u], store, opts, identity);
+          }
+          CandidateLiteral reduced;
+          for (const CandidateLiteral& cand : results) {
+            if (cand.gain > reduced.gain) reduced = cand;
+          }
+          ExpectSameCandidate(expected, reduced, where);
+          if (!expected.valid()) continue;
+
+          ++checked;
+          IdSetStore copy = store;
+          std::vector<uint8_t> satisfied(n, 0);
+          ApplyConstraint(db.relation(rel), expected.constraint, alive, &copy,
+                          &satisfied);
+          uint32_t pos_cov = 0, neg_cov = 0;
+          for (TupleId t = 0; t < n; ++t) {
+            if (!satisfied[t]) continue;
+            if (positive[t]) {
+              ++pos_cov;
+            } else {
+              ++neg_cov;
+            }
+          }
+          EXPECT_EQ(expected.pos_cov, pos_cov) << where;
+          EXPECT_EQ(expected.neg_cov, neg_cov) << where;
+          EXPECT_DOUBLE_EQ(expected.gain, FoilGain(pos, neg, pos_cov, neg_cov))
+              << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0) << "no relation produced a literal to check";
+}
+
+TEST(ScanUnitTest, UnitsFollowAttributeOrderThenAggregations) {
+  Fig2Database f = MakeFig2Database();
+  const Relation& loan = f.db.relation(f.loan);
+  std::vector<AttrId> units;
+  CrossMineOptions opts;
+  LiteralSearcher::ScanUnits(loan, opts, &units);
+  ASSERT_FALSE(units.empty());
+  EXPECT_EQ(units.back(), LiteralSearcher::kAggregationUnit);
+  for (size_t u = 0; u + 1 < units.size(); ++u) {
+    AttrKind kind = loan.schema().attr(units[u]).kind;
+    EXPECT_TRUE(kind == AttrKind::kCategorical || kind == AttrKind::kNumerical);
+    if (u > 0) {
+      EXPECT_LT(units[u - 1], units[u]);
+    }
+  }
+  // Disabled literal families contribute no units.
+  opts.use_numerical_literals = false;
+  opts.use_aggregation_literals = false;
+  units.clear();
+  LiteralSearcher::ScanUnits(loan, opts, &units);
+  EXPECT_TRUE(units.empty());  // Loan has only key and numerical attributes
+}
+
+TEST(ScanUnitTest, SyntheticUnitsReduceToFindBest) {
+  datagen::SyntheticConfig cfg;
+  cfg.num_relations = 6;
+  cfg.expected_tuples = 150;
+  cfg.seed = 13;
+  StatusOr<Database> db = datagen::GenerateSyntheticDatabase(cfg);
+  ASSERT_TRUE(db.ok());
+  ExpectUnitsMatchFindBest(*db, 1);
+}
+
+TEST(ScanUnitTest, FinancialUnitsReduceToFindBest) {
+  datagen::FinancialConfig cfg;
+  cfg.num_districts = 12;
+  cfg.num_accounts = 200;
+  cfg.num_clients = 240;
+  cfg.num_loans = 80;
+  cfg.seed = 5;
+  StatusOr<Database> db = datagen::GenerateFinancialDatabase(cfg);
+  ASSERT_TRUE(db.ok());
+  ExpectUnitsMatchFindBest(*db, 2);
+}
+
+TEST(ScanUnitTest, MutagenesisUnitsReduceToFindBest) {
+  datagen::MutagenesisConfig cfg;
+  cfg.num_molecules = 40;
+  cfg.seed = 9;
+  StatusOr<Database> db = datagen::GenerateMutagenesisDatabase(cfg);
+  ASSERT_TRUE(db.ok());
+  ExpectUnitsMatchFindBest(*db, 3);
+}
 
 }  // namespace
 }  // namespace crossmine

@@ -26,7 +26,9 @@
 # parallel-search suites run here too: multi-lane bulk prediction writes
 # per-clause result slots from pool lanes, Explain and Predict share one
 # decision rule over them, and the clause search hands fresh propagations
-# across lanes for in-order cache admission.
+# across lanes for in-order cache admission. The literal-search suite
+# joins them: each scan unit reuses a searcher's epoch-stamped and
+# aggregation scratch arrays left behind by other units.
 #
 # Usage: tools/check_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -40,6 +42,7 @@ cmake --build "$BUILD_DIR" -j \
   attr_index_test index_cache_test csv_corruption_test columnar_test \
   columnar_corruption_test fault_matrix_test shard_test \
   shard_process_test clause_eval_test classifier_test parallel_search_test \
+  literal_search_test \
   crossmine_cli serve_client
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
@@ -59,6 +62,7 @@ export UBSAN_OPTIONS="halt_on_error=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/clause_eval_test
 "$BUILD_DIR"/tests/classifier_test
 "$BUILD_DIR"/tests/parallel_search_test
+"$BUILD_DIR"/tests/literal_search_test
 bash tools/check_serve_smoke.sh \
   "$BUILD_DIR"/tools/crossmine "$BUILD_DIR"/tools/serve_client
 

@@ -4,7 +4,11 @@
 # TILDE, and validates that every stdout line is one JSON object and that
 # fold lines carry the required schema — per-fold phase timings
 # (propagation, literal search, sampling, re-estimation), propagation-cache
-# hit/refresh/miss counters and per-class clause counts.
+# hit/refresh/miss counters and per-class clause counts. Also checks that
+# `crossmine train --report json` reports lane idle time and scan units,
+# and that malformed flag values (non-numeric, negative, unknown --mode)
+# exit 2 with a message naming the flag instead of falling back to a
+# default.
 #
 # Usage: tools/check_report_json.sh [crossmine-binary]
 #        (default: build/tools/crossmine)
@@ -86,5 +90,43 @@ EOF
 validate crossmine
 validate foil
 validate tilde
+
+# The train report carries the parallel search's scheduling record.
+"$BIN" train "$DIR/data" "$DIR/model.cmm" --threads 2 --report json \
+  > "$DIR/train.out"
+head -n 1 "$DIR/train.out" > "$DIR/train.json"
+for key in train.pool.idle_seconds train.search.scan_units; do
+  grep -q "\"$key\":" "$DIR/train.json" || {
+    echo "check_report_json: train report missing $key" >&2
+    exit 1
+  }
+done
+echo "check_report_json: train OK"
+
+# A malformed value is an error naming its flag, never the default.
+expect_rejected() {
+  local flag="$1"
+  shift
+  local rc=0
+  "$@" > /dev/null 2> "$DIR/stderr" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- "--$flag" "$DIR/stderr"; then
+    echo "check_report_json: '$*' exited $rc, want 2 naming --$flag" >&2
+    cat "$DIR/stderr" >&2
+    exit 1
+  fi
+}
+expect_rejected threads "$BIN" train "$DIR/data" "$DIR/m.cmm" --threads four
+expect_rejected threads "$BIN" train "$DIR/data" "$DIR/m.cmm" --threads -1
+expect_rejected min-gain "$BIN" train "$DIR/data" "$DIR/m.cmm" --min-gain x
+expect_rejected min-gain "$BIN" train "$DIR/data" "$DIR/m.cmm" --min-gain -1
+expect_rejected folds "$BIN" evaluate "$DIR/data" --folds 2x
+expect_rejected mode "$BIN" predict "$DIR/data" "$DIR/model.cmm" --mode bogus
+expect_rejected memory-budget-mb \
+  "$BIN" train "$DIR/data" "$DIR/m.cmm" --memory-budget-mb -5
+# Every accepted --mode value still predicts.
+for mode in best vote list; do
+  "$BIN" predict "$DIR/data" "$DIR/model.cmm" --mode "$mode" > /dev/null 2>&1
+done
+echo "check_report_json: flag values OK"
 
 echo "check_report_json: OK"

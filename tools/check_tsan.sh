@@ -19,7 +19,9 @@
 # forwarding and drain — the cross-thread handoff TSan polices. The
 # clause-evaluation suite rides along for bulk prediction: clauses fan out
 # across lanes that share the database's lazily built indexes, and the
-# re-estimation and shard-merge passes reuse the same evaluator.
+# re-estimation and shard-merge passes reuse the same evaluator. The
+# literal-search suite rides along for scan units: lanes scan one
+# relation's units on different searchers over the same shared idsets.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -29,12 +31,14 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Tsan
 cmake --build "$BUILD_DIR" -j \
-  --target parallel_search_test clause_builder_test clause_eval_test serve_test \
+  --target parallel_search_test literal_search_test clause_builder_test \
+  clause_eval_test serve_test \
   idset_store_test attr_index_test index_cache_test columnar_test \
   fault_matrix_test shard_test shard_process_test crossmine_cli
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/parallel_search_test
+"$BUILD_DIR"/tests/literal_search_test
 "$BUILD_DIR"/tests/clause_builder_test
 "$BUILD_DIR"/tests/clause_eval_test
 "$BUILD_DIR"/tests/serve_test

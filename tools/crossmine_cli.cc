@@ -23,6 +23,7 @@
 // convention.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -176,7 +177,10 @@ int Usage() {
   return 2;
 }
 
-/// Parses trailing --key value / --flag options.
+/// Parses trailing --key value / --flag options. The argument after a
+/// `--key` is its value unless it is itself a `--flag`, so negative numbers
+/// reach the value checks below instead of turning the key into a bare
+/// flag.
 std::map<std::string, std::string> ParseOptions(int argc, char** argv,
                                                 int first) {
   std::map<std::string, std::string> opts;
@@ -184,7 +188,7 @@ std::map<std::string, std::string> ParseOptions(int argc, char** argv,
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) continue;
     key = key.substr(2);
-    if (i + 1 < argc && argv[i + 1][0] != '-') {
+    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       opts[key] = argv[++i];
     } else {
       opts[key] = "1";
@@ -193,12 +197,24 @@ std::map<std::string, std::string> ParseOptions(int argc, char** argv,
   return opts;
 }
 
+/// Rejects a flag value: names the flag on stderr and exits with status 2.
+[[noreturn]] void BadFlagValue(const std::string& key,
+                               const std::string& value, const char* want) {
+  std::fprintf(stderr, "bad --%s value '%s' (want %s)\n", key.c_str(),
+               value.c_str(), want);
+  std::exit(2);
+}
+
+/// Every numeric flag is a count, size, seed or threshold: a value that is
+/// not a non-negative number is rejected, never replaced by the default.
 int64_t OptInt(const std::map<std::string, std::string>& opts,
                const std::string& key, int64_t fallback) {
   auto it = opts.find(key);
   if (it == opts.end()) return fallback;
-  int64_t v = fallback;
-  crossmine::ParseInt64(it->second, &v);
+  int64_t v = 0;
+  if (!crossmine::ParseInt64(it->second, &v) || v < 0) {
+    BadFlagValue(key, it->second, "a non-negative integer");
+  }
   return v;
 }
 
@@ -206,8 +222,11 @@ double OptDouble(const std::map<std::string, std::string>& opts,
                  const std::string& key, double fallback) {
   auto it = opts.find(key);
   if (it == opts.end()) return fallback;
-  double v = fallback;
-  crossmine::ParseDouble(it->second, &v);
+  double v = 0.0;
+  if (!crossmine::ParseDouble(it->second, &v) || !std::isfinite(v) ||
+      v < 0.0) {
+    BadFlagValue(key, it->second, "a non-negative number");
+  }
   return v;
 }
 
@@ -231,10 +250,14 @@ CrossMineOptions ParseCrossMineOptions(
   o.num_shards = static_cast<int>(OptInt(opts, "shards", 1));
   auto mode = opts.find("mode");
   if (mode != opts.end()) {
-    if (mode->second == "vote") {
+    if (mode->second == "best") {
+      o.prediction_mode = PredictionMode::kBestClause;
+    } else if (mode->second == "vote") {
       o.prediction_mode = PredictionMode::kWeightedVote;
     } else if (mode->second == "list") {
       o.prediction_mode = PredictionMode::kDecisionList;
+    } else {
+      BadFlagValue("mode", mode->second, "best, vote or list");
     }
   }
   return o;
@@ -935,11 +958,9 @@ int main(int argc, char** argv) {
     // miss). Applied before dispatch so the very first index build is
     // already budgeted. 0 (the default) = unlimited.
     if (std::strcmp(argv[i], "--memory-budget-mb") == 0) {
-      char* end = nullptr;
-      unsigned long long mb = std::strtoull(argv[i + 1], &end, 10);
-      if (end == argv[i + 1] || *end != '\0') {
-        std::fprintf(stderr, "bad --memory-budget-mb: %s\n", argv[i + 1]);
-        return 2;
+      int64_t mb = 0;
+      if (!crossmine::ParseInt64(argv[i + 1], &mb) || mb < 0) {
+        BadFlagValue("memory-budget-mb", argv[i + 1], "a non-negative integer");
       }
       IndexCache::Global().SetBudgetBytes(static_cast<uint64_t>(mb) << 20);
     }
